@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/config.h"
@@ -283,6 +284,8 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.field("bench", "build");
   w.field("smoke", smoke);
+  w.field("hardware_concurrency",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   w.key("directory");
   w.begin_array();
   for (const DirectoryRow& r : rows) {

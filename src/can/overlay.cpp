@@ -391,7 +391,7 @@ void Overlay::check_invariants() const {
     // Adjacency completeness and symmetry.
     for (dht::NodeIndex j = 0; j < nodes_.size(); ++j) {
       if (j == i || !nodes_[j].alive) continue;
-      const bool should = zones_abut(n.zone, nodes_[j].zone);
+      [[maybe_unused]] const bool should = zones_abut(n.zone, nodes_[j].zone);
       const bool has = n.table.entry(kAdjacencyEntry).contains(arena_.cands, j);
       assert(should == has && "adjacency incomplete or stale");
       if (has)
@@ -400,7 +400,7 @@ void Overlay::check_invariants() const {
                "adjacency asymmetric");
     }
     // Shortcut bookkeeping.
-    for (const dht::NodeIndex32 c :
+    for ([[maybe_unused]] const dht::NodeIndex32 c :
          n.table.entry(kShortcutEntry).candidates(arena_.cands)) {
       assert(nodes_[c].inlinks.contains(arena_.fingers, i));
     }

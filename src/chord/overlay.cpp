@@ -66,17 +66,30 @@ bool Overlay::eligible(dht::NodeIndex owner, std::size_t slot,
 
 bool Overlay::link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
                    bool respect_budget) {
-  ChordNode& f = nodes_.at(from);
-  ChordNode& t = nodes_.at(to);
+  // The local rejections run before the eligibility window's descent; all
+  // checks are pure, so their order cannot change the outcome.
+  return attachable(from, slot, to, respect_budget) &&
+         eligible(from, slot, to) && attach(from, slot, to);
+}
+
+bool Overlay::attachable(dht::NodeIndex from, std::size_t slot,
+                         dht::NodeIndex to, bool respect_budget) const {
+  const ChordNode& f = nodes_.at(from);
+  const ChordNode& t = nodes_.at(to);
   if (!f.alive || !t.alive || from == to) return false;
-  if (!eligible(from, slot, to)) return false;
   if (respect_budget && !t.budget.can_accept()) return false;
   if (t.inlinks.contains(arena_.fingers, from))
     return false;  // one role per ordered pair
   if (f.table.entry(slot).size() >= opts_.finger_spread &&
       slot != successor_entry())
     return false;  // loose slot is full
-  if (!f.table.entry(slot).add(arena_.cands, to)) return false;
+  return true;
+}
+
+bool Overlay::attach(dht::NodeIndex from, std::size_t slot,
+                     dht::NodeIndex to) {
+  ChordNode& t = nodes_[to];
+  if (!nodes_[from].table.entry(slot).add(arena_.cands, to)) return false;
   if (!t.budget.can_accept()) t.budget.on_forced_inlink();
   t.inlinks.add(arena_.fingers,
                 core::BackwardFinger{
@@ -84,6 +97,11 @@ bool Overlay::link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
                     phys_dist_ ? phys_dist_(from, to) : 0.0});
   t.budget.on_inlink_added();
   return true;
+}
+
+bool Overlay::adopt(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
+                    bool respect_budget) {
+  return attachable(from, slot, to, respect_budget) && attach(from, slot, to);
 }
 
 bool Overlay::unlink(dht::NodeIndex from, dht::NodeIndex to) {
@@ -99,34 +117,28 @@ void Overlay::build_table(dht::NodeIndex i) {
   // Successor list first: low fingers usually coincide with the nearest
   // successors, and the one-role-per-pair rule would otherwise leave the
   // successor entry empty (fingers then diversify via the loose window).
-  directory_.successors_of(n.id, opts_.successor_list, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_) {
-    link(i, successor_entry(), *directory_.owner_of(id), false);
-  }
-  // Fingers: for each m link the successor of id + 2^m (the strict-Chord
-  // choice) when it accepts; otherwise walk the loose window.
-  for (int m = 0; m < opts_.bits; ++m) {
-    const std::uint64_t start =
-        (n.id + (std::uint64_t{1} << m)) & (ring_size() - 1);
-    bool linked = false;
-    std::uint64_t probe = start == 0 ? ring_size() - 1 : start - 1;
-    directory_.successors_of(probe, opts_.finger_spread, ids_scratch_);
-    for (const std::uint64_t id : ids_scratch_) {
-      const dht::NodeIndex cand = *directory_.owner_of(id);
-      if (link(i, static_cast<std::size_t>(m), cand,
-               opts_.enforce_indegree_bounds)) {
-        linked = true;
-        break;
-      }
-    }
-    if (!linked) {
-      // Routability over bounds: force the strict successor if possible.
-      if (const dht::NodeIndex cand = directory_.successor(start);
-          cand != dht::kNoNode && cand != i)
-        link(i, static_cast<std::size_t>(m), cand, false);
-    }
-  }
+  // Every candidate below comes from the slot's own eligibility window, so
+  // adopt() skips recomputing it.
+  directory_.successors_of(n.id, opts_.successor_list, window_scratch_);
+  for (const auto& [id, cand] : window_scratch_)
+    adopt(i, successor_entry(), cand, false);
+  for (int m = 0; m < opts_.bits; ++m)
+    fill_finger(i, static_cast<std::size_t>(m));
   n.table_built = true;
+}
+
+void Overlay::fill_finger(dht::NodeIndex i, std::size_t slot) {
+  // Link the successor of id + 2^m (the strict-Chord choice, the window's
+  // first entry) when it accepts; otherwise walk the loose window.
+  const std::uint64_t start =
+      (nodes_[i].id + (std::uint64_t{1} << slot)) & (ring_size() - 1);
+  directory_.successors_of(start == 0 ? ring_size() - 1 : start - 1,
+                           opts_.finger_spread, window_scratch_);
+  for (const auto& [id, cand] : window_scratch_)
+    if (adopt(i, slot, cand, opts_.enforce_indegree_bounds)) return;
+  // Routability over bounds: force the strict successor if possible.
+  if (!window_scratch_.empty())
+    adopt(i, slot, window_scratch_.front().second, false);
 }
 
 std::vector<ExpansionTarget> Overlay::expansion_targets(
@@ -150,22 +162,44 @@ void Overlay::expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
     const std::uint64_t base =
         (me.id - (std::uint64_t{1} << m)) & (ring_size() - 1);
     directory_.predecessors_of((base + 1) & (ring_size() - 1),
-                               opts_.finger_spread, ids_scratch_);
-    for (const std::uint64_t id : ids_scratch_) {
+                               opts_.finger_spread, window_scratch_);
+    for (const auto& [id, host] : window_scratch_) {
       if (out.size() >= max_targets) break;
-      const dht::NodeIndex host = *directory_.owner_of(id);
       if (host == i || inlink_seen_.test(host)) continue;
       out.emplace_back(host, static_cast<std::size_t>(m));
     }
   }
   // Predecessors can adopt us into their successor lists.
-  directory_.predecessors_of(me.id, opts_.successor_list, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_) {
+  directory_.predecessors_of(me.id, opts_.successor_list, window_scratch_);
+  for (const auto& [id, host] : window_scratch_) {
     if (out.size() >= max_targets) break;
-    const dht::NodeIndex host = *directory_.owner_of(id);
     if (host == i || inlink_seen_.test(host)) continue;
     out.emplace_back(host, successor_entry());
   }
+}
+
+std::uint64_t Overlay::finger_reach(dht::NodeIndex i) const {
+  // With finger_spread + 1 ids or fewer a window can wrap onto itself and
+  // the threshold rule no longer holds.
+  if (opts_.finger_spread == 0 ||
+      directory_.size() <= opts_.finger_spread + 1)
+    return 0;
+  directory_.predecessors_of(nodes_.at(i).id, opts_.finger_spread,
+                             window_scratch_);
+  return dht::clockwise(window_scratch_.back().first, nodes_[i].id,
+                        ring_size());
+}
+
+bool Overlay::finger_eligible(dht::NodeIndex host, std::size_t m,
+                              dht::NodeIndex i, std::uint64_t reach) const {
+  if (reach == 0) return eligible(host, m, i);
+  if (host == i) return false;
+  // i is in host's finger-m window exactly when fewer than finger_spread
+  // occupied ids lie in [start, i.id): when start is clockwise-after i's
+  // finger_spread-th predecessor.
+  const std::uint64_t start =
+      (nodes_.at(host).id + (std::uint64_t{1} << m)) & (ring_size() - 1);
+  return dht::clockwise(start, nodes_.at(i).id, ring_size()) < reach;
 }
 
 int Overlay::expand_indegree(dht::NodeIndex i, int want,
@@ -173,18 +207,23 @@ int Overlay::expand_indegree(dht::NodeIndex i, int want,
   if (want <= 0) return 0;
   int gained = 0;
   expansion_targets_into(i, max_probes, targets_scratch_);
+  const std::uint64_t reach = finger_reach(i);
   for (const auto& [host, slot] : targets_scratch_) {
     if (gained >= want) break;
     if (!nodes_[i].budget.can_accept()) break;
-    if (link(host, slot, i, /*respect_budget=*/true)) {
-      ++gained;
-      if (trace_ && trace_->wants(trace::Category::kLink))
-        trace_->emit(trace::EventType::kLinkAdopt, i, 0,
-                     static_cast<std::int64_t>(host),
-                     static_cast<std::int64_t>(nodes_[i].inlinks.size()));
-      if (meter_)
-        meter_->on_backward_add(i, host, nodes_[i].inlinks.size());
-    }
+    // Cheapest test first: a finger's window test is one comparison, the
+    // successor list's a descent. Every test is pure, so order is free.
+    const bool finger = slot != successor_entry();
+    if (finger && !finger_eligible(host, slot, i, reach)) continue;
+    if (!attachable(host, slot, i, /*respect_budget=*/true)) continue;
+    if (!finger && !eligible(host, slot, i)) continue;
+    if (!attach(host, slot, i)) continue;
+    ++gained;
+    if (trace_ && trace_->wants(trace::Category::kLink))
+      trace_->emit(trace::EventType::kLinkAdopt, i, 0,
+                   static_cast<std::int64_t>(host),
+                   static_cast<std::int64_t>(nodes_[i].inlinks.size()));
+    if (meter_) meter_->on_backward_add(i, host, nodes_[i].inlinks.size());
   }
   return gained;
 }
@@ -249,24 +288,11 @@ void Overlay::repair_entry(dht::NodeIndex i, std::size_t slot) {
     if (nodes_[c].alive) return;
   if (directory_.size() < 2) return;
   if (slot == successor_entry()) {
-    directory_.successors_of(n.id, opts_.successor_list, ids_scratch_);
-    for (const std::uint64_t id : ids_scratch_)
-      link(i, slot, *directory_.owner_of(id), false);
+    directory_.successors_of(n.id, opts_.successor_list, window_scratch_);
+    for (const auto& [id, cand] : window_scratch_) adopt(i, slot, cand, false);
     return;
   }
-  const int m = static_cast<int>(slot);
-  const std::uint64_t start =
-      (n.id + (std::uint64_t{1} << m)) & (ring_size() - 1);
-  directory_.successors_of(start == 0 ? ring_size() - 1 : start - 1,
-                           opts_.finger_spread, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_) {
-    if (link(i, slot, *directory_.owner_of(id),
-             opts_.enforce_indegree_bounds))
-      return;
-  }
-  if (const dht::NodeIndex cand = directory_.successor(start);
-      cand != dht::kNoNode && cand != i)
-    link(i, slot, cand, false);
+  fill_finger(i, slot);
 }
 
 std::uint64_t Overlay::logical_distance_to_key(dht::NodeIndex a,

@@ -112,11 +112,27 @@ class Overlay {
   std::vector<ExpansionTarget> expansion_targets(dht::NodeIndex i,
                                                  std::size_t max_targets) const;
 
+  /// Links `to` into `from`'s `slot` if it passes attachable() and
+  /// eligible(); the cheap local checks run first.
   bool link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
             bool respect_budget);
   bool unlink(dht::NodeIndex from, dht::NodeIndex to);
+  /// The slot's window rule alone: cand is among the first successor_list
+  /// ids after owner (successor slot), or among the first finger_spread ids
+  /// at or after owner.id + 2^m (finger m).
   bool eligible(dht::NodeIndex owner, std::size_t slot,
                 dht::NodeIndex cand) const;
+
+  /// expand_indegree's one-comparison form of eligible() for finger slots.
+  /// finger_reach(i) is the clockwise gap from alive node i's
+  /// finger_spread-th predecessor to i, found with one descent; it is 0
+  /// when the directory holds finger_spread + 1 ids or fewer, where
+  /// windows wrap onto themselves. finger_eligible(host, m, i,
+  /// finger_reach(i)) == eligible(host, m, i) for every finger m; with
+  /// reach 0 it simply calls eligible().
+  std::uint64_t finger_reach(dht::NodeIndex i) const;
+  bool finger_eligible(dht::NodeIndex host, std::size_t m, dht::NodeIndex i,
+                       std::uint64_t reach) const;
 
   const ChordNode& node(dht::NodeIndex i) const { return nodes_.at(i); }
   ChordNode& mutable_node(dht::NodeIndex i) { return nodes_.at(i); }
@@ -159,6 +175,21 @@ class Overlay {
   void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
                               std::vector<ExpansionTarget>& out) const;
 
+  /// link() split in two. attachable() holds the local rejections: a dead
+  /// end, a self link, the budget, one role per ordered pair, a full loose
+  /// slot. attach() records the link.
+  bool attachable(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
+                  bool respect_budget) const;
+  bool attach(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to);
+  /// link() for a candidate taken from the slot's own eligibility window,
+  /// which therefore skips recomputing it.
+  bool adopt(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
+             bool respect_budget);
+  /// Fills finger `slot` (m) of `i` from its eligibility window, the
+  /// first finger_spread ids at or after i.id + 2^m, forcing the strict
+  /// successor when no candidate accepts within bounds.
+  void fill_finger(dht::NodeIndex i, std::size_t slot);
+
   ChordOptions opts_;
   PhysDistFn phys_dist_;
   dht::RingDirectory directory_;
@@ -168,10 +199,9 @@ class Overlay {
   wire::ByteMeter* meter_ = nullptr;
   core::LinkArena arena_;
   // Warm scratch for the steady-state mutation paths (repair, adaptation),
-  // so shed/grow sweeps allocate nothing once capacities settle. Two id
-  // buffers because build/repair iterate one while link() -> eligible()
-  // fills the other.
-  mutable std::vector<std::uint64_t> ids_scratch_;
+  // so shed/grow sweeps allocate nothing once capacities settle. Callers
+  // iterate window_scratch_; eligible() fills its own elig_scratch_.
+  mutable std::vector<dht::IdOwner> window_scratch_;
   mutable std::vector<std::uint64_t> elig_scratch_;
   std::vector<ExpansionTarget> targets_scratch_;
   mutable dht::StampSet inlink_seen_;  ///< expansion_targets_into() only.

@@ -100,9 +100,9 @@ void Overlay::build_table(dht::NodeIndex i) {
     peer.table.entry(kFullTableEntry).append(arena_.cands, i);
   }
   // Initial successor-list redundancy: the elastic entry ERT operates on.
-  directory_.successors_of(n.id, opts_.successor_list, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_)
-    link(i, kSuccessorEntry, *directory_.owner_of(id), false);
+  directory_.successors_of(n.id, opts_.successor_list, window_scratch_);
+  for (const auto& [id, cand] : window_scratch_)
+    link(i, kSuccessorEntry, cand, false);
   n.table_built = true;
 }
 
@@ -123,10 +123,9 @@ void Overlay::expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
     inlink_seen_.mark(f.node);
   // Ring predecessors within the spread window can adopt us into their
   // successor entries.
-  directory_.predecessors_of(me.id, opts_.successor_spread, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_) {
+  directory_.predecessors_of(me.id, opts_.successor_spread, window_scratch_);
+  for (const auto& [id, host] : window_scratch_) {
     if (out.size() >= max_targets) break;
-    const dht::NodeIndex host = *directory_.owner_of(id);
     if (host == i || inlink_seen_.test(host)) continue;
     out.emplace_back(host, kSuccessorEntry);
   }
@@ -219,9 +218,9 @@ void Overlay::repair_entry(dht::NodeIndex i, std::size_t slot) {
   for (const dht::NodeIndex32 c : entry.candidates(arena_.cands))
     if (nodes_[c].alive) return;
   if (directory_.size() < 2) return;
-  directory_.successors_of(n.id, opts_.successor_list, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_)
-    link(i, kSuccessorEntry, *directory_.owner_of(id), false);
+  directory_.successors_of(n.id, opts_.successor_list, window_scratch_);
+  for (const auto& [id, cand] : window_scratch_)
+    link(i, kSuccessorEntry, cand, false);
 }
 
 std::uint64_t Overlay::logical_distance_to_key(dht::NodeIndex a,

@@ -150,7 +150,7 @@ class Overlay {
   trace::TraceSink* trace_ = nullptr;
   wire::ByteMeter* meter_ = nullptr;
   core::LinkArena arena_;
-  mutable std::vector<std::uint64_t> ids_scratch_;
+  mutable std::vector<dht::IdOwner> window_scratch_;
   mutable std::vector<std::uint64_t> elig_scratch_;
   std::vector<ExpansionTarget> targets_scratch_;
   mutable dht::StampSet inlink_seen_;

@@ -202,39 +202,71 @@ std::vector<std::uint64_t> RingDirectory::predecessors_of(
   return out;
 }
 
-void RingDirectory::successors_of(std::uint64_t key, std::size_t k,
-                                  std::vector<std::uint64_t>& out) const {
+template <typename Fn>
+void RingDirectory::walk_successors(std::uint64_t key, std::size_t k,
+                                    Fn&& fn) const {
   flush_bulk();
-  out.clear();
   if (tree_.empty()) return;
   k = std::min(k, tree_.size());
   CountedBTree::Cursor c = tree_.lower_bound(key).cur;
   if (CountedBTree::valid(c) && CountedBTree::key(c) == key)
     c = CountedBTree::next(c);  // exclude key itself
-  out.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     if (!CountedBTree::valid(c)) c = tree_.first();
     if (CountedBTree::key(c) == key) break;  // wrapped all the way around
-    out.push_back(CountedBTree::key(c));
+    fn(CountedBTree::key(c), CountedBTree::value(c));
     c = CountedBTree::next(c);
   }
 }
 
-void RingDirectory::predecessors_of(std::uint64_t key, std::size_t k,
-                                    std::vector<std::uint64_t>& out) const {
+template <typename Fn>
+void RingDirectory::walk_predecessors(std::uint64_t key, std::size_t k,
+                                      Fn&& fn) const {
   flush_bulk();
-  out.clear();
   if (tree_.empty()) return;
   k = std::min(k, tree_.size());
   CountedBTree::Cursor c = tree_.lower_bound(key).cur;
-  out.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     c = CountedBTree::valid(c) ? CountedBTree::prev(c)
                                : CountedBTree::Cursor{};
     if (!CountedBTree::valid(c)) c = tree_.last();  // wrap below rank 0
     if (CountedBTree::key(c) == key) break;
-    out.push_back(CountedBTree::key(c));
+    fn(CountedBTree::key(c), CountedBTree::value(c));
   }
+}
+
+void RingDirectory::successors_of(std::uint64_t key, std::size_t k,
+                                  std::vector<std::uint64_t>& out) const {
+  out.clear();
+  out.reserve(std::min(k, size()));
+  walk_successors(key, k,
+                  [&](std::uint64_t id, NodeIndex) { out.push_back(id); });
+}
+
+void RingDirectory::predecessors_of(std::uint64_t key, std::size_t k,
+                                    std::vector<std::uint64_t>& out) const {
+  out.clear();
+  out.reserve(std::min(k, size()));
+  walk_predecessors(key, k,
+                    [&](std::uint64_t id, NodeIndex) { out.push_back(id); });
+}
+
+void RingDirectory::successors_of(std::uint64_t key, std::size_t k,
+                                  std::vector<IdOwner>& out) const {
+  out.clear();
+  out.reserve(std::min(k, size()));
+  walk_successors(key, k, [&](std::uint64_t id, NodeIndex owner) {
+    out.emplace_back(id, owner);
+  });
+}
+
+void RingDirectory::predecessors_of(std::uint64_t key, std::size_t k,
+                                    std::vector<IdOwner>& out) const {
+  out.clear();
+  out.reserve(std::min(k, size()));
+  walk_predecessors(key, k, [&](std::uint64_t id, NodeIndex owner) {
+    out.emplace_back(id, owner);
+  });
 }
 
 const std::vector<std::uint64_t>& RingDirectory::ids() const {

@@ -29,6 +29,10 @@ std::uint64_t ring_distance(std::uint64_t a, std::uint64_t b,
 bool in_interval(std::uint64_t x, std::uint64_t from, std::uint64_t to,
                  std::uint64_t modulus);
 
+/// One occupied id and the node that owns it, as the owner-yielding window
+/// scans return them.
+using IdOwner = std::pair<std::uint64_t, NodeIndex>;
+
 /// An ordered, mutable set of occupied ids on a ring, with id -> NodeIndex
 /// resolution. Backed by a counted B+-tree (counted_btree.h), so insert,
 /// erase, successor search, and rank queries (position_of / position_gap)
@@ -112,6 +116,13 @@ class RingDirectory {
   void predecessors_of(std::uint64_t key, std::size_t k,
                        std::vector<std::uint64_t>& out) const;
 
+  /// The same windows as (id, owner) pairs, read from the one descent —
+  /// callers that resolve every returned id skip one owner_of per id.
+  void successors_of(std::uint64_t key, std::size_t k,
+                     std::vector<IdOwner>& out) const;
+  void predecessors_of(std::uint64_t key, std::size_t k,
+                       std::vector<IdOwner>& out) const;
+
   /// Number of occupied positions separating two occupied ids, walking the
   /// shorter way around the sorted ring. Both ids must be occupied.
   std::size_t position_distance(std::uint64_t a, std::uint64_t b) const;
@@ -145,6 +156,14 @@ class RingDirectory {
   const std::vector<std::uint64_t>& ids() const;
 
  private:
+  /// The window walks behind both forms of successors_of / predecessors_of:
+  /// visit (id, owner) for up to k occupied ids clockwise after (resp.
+  /// before) `key`, wrapping, never visiting `key` itself.
+  template <typename Fn>
+  void walk_successors(std::uint64_t key, std::size_t k, Fn&& fn) const;
+  template <typename Fn>
+  void walk_predecessors(std::uint64_t key, std::size_t k, Fn&& fn) const;
+
   /// lower_bound over occupied ids: rank of the first id >= `id`.
   std::size_t lower_bound(std::uint64_t id) const;
 

@@ -140,12 +140,12 @@ void Overlay::build_table(dht::NodeIndex i) {
     }
   }
   // Leaf set: nearest ids on both sides.
-  directory_.successors_of(n.id, opts_.leaf_half, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_)
-    link(i, leaf_entry(), *directory_.owner_of(id), false);
-  directory_.predecessors_of(n.id, opts_.leaf_half, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_)
-    link(i, leaf_entry(), *directory_.owner_of(id), false);
+  directory_.successors_of(n.id, opts_.leaf_half, window_scratch_);
+  for (const auto& [id, cand] : window_scratch_)
+    link(i, leaf_entry(), cand, false);
+  directory_.predecessors_of(n.id, opts_.leaf_half, window_scratch_);
+  for (const auto& [id, cand] : window_scratch_)
+    link(i, leaf_entry(), cand, false);
   n.table_built = true;
 }
 
@@ -183,16 +183,14 @@ void Overlay::expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
         });
   }
   // Ring neighbors can adopt us into their leaf sets.
-  directory_.successors_of(me.id, opts_.leaf_half, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_) {
+  directory_.successors_of(me.id, opts_.leaf_half, window_scratch_);
+  for (const auto& [id, host] : window_scratch_) {
     if (out.size() >= max_targets) break;
-    const dht::NodeIndex host = *directory_.owner_of(id);
     if (!inlink_seen_.test(host)) out.emplace_back(host, leaf_entry());
   }
-  directory_.predecessors_of(me.id, opts_.leaf_half, ids_scratch_);
-  for (const std::uint64_t id : ids_scratch_) {
+  directory_.predecessors_of(me.id, opts_.leaf_half, window_scratch_);
+  for (const auto& [id, host] : window_scratch_) {
     if (out.size() >= max_targets) break;
-    const dht::NodeIndex host = *directory_.owner_of(id);
     if (!inlink_seen_.test(host)) out.emplace_back(host, leaf_entry());
   }
 }
@@ -278,12 +276,12 @@ void Overlay::repair_entry(dht::NodeIndex i, std::size_t slot) {
     if (nodes_[c].alive) return;
   if (directory_.size() < 2) return;
   if (slot == leaf_entry()) {
-    directory_.successors_of(n.id, opts_.leaf_half, ids_scratch_);
-    for (const std::uint64_t id : ids_scratch_)
-      link(i, slot, *directory_.owner_of(id), false);
-    directory_.predecessors_of(n.id, opts_.leaf_half, ids_scratch_);
-    for (const std::uint64_t id : ids_scratch_)
-      link(i, slot, *directory_.owner_of(id), false);
+    directory_.successors_of(n.id, opts_.leaf_half, window_scratch_);
+    for (const auto& [id, cand] : window_scratch_)
+      link(i, slot, cand, false);
+    directory_.predecessors_of(n.id, opts_.leaf_half, window_scratch_);
+    for (const auto& [id, cand] : window_scratch_)
+      link(i, slot, cand, false);
     return;
   }
   const int r = static_cast<int>(slot) / base();

@@ -168,9 +168,9 @@ class Overlay {
   wire::ByteMeter* meter_ = nullptr;
   core::LinkArena arena_;
   // Warm scratch for the steady-state mutation paths (build, repair,
-  // shed/grow). Two id buffers because callers iterate one while
-  // link() -> eligible() fills the other.
-  mutable std::vector<std::uint64_t> ids_scratch_;
+  // shed/grow). Two buffers because callers iterate one window, with its
+  // owners, while link() -> eligible() fills the other.
+  mutable std::vector<dht::IdOwner> window_scratch_;
   mutable std::vector<std::uint64_t> elig_scratch_;
   std::vector<dht::NodeIndex> build_cands_;
   mutable std::vector<ExpansionTarget> targets_scratch_;

@@ -181,5 +181,61 @@ TEST(Chord, IndegreeBoundsRespectedOnErtBuild) {
   EXPECT_LT(over, o.num_slots() / 10);
 }
 
+// expand_indegree's one-comparison finger test against eligible(), the
+// reference, on small rings where windows wrap: few ring bits, n from 2 to
+// ~300, finger_spread 1..4. Also checks that build_table only ever links
+// eligible candidates.
+TEST(Chord, FingerThresholdMatchesEligible) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 90; ++trial) {
+    ChordOptions opts;
+    opts.bits = 3 + static_cast<int>(rng.index(7));  // 3..9
+    opts.finger_spread = 1 + rng.index(4);
+    opts.successor_list = 1 + rng.index(4);
+    opts.enforce_indegree_bounds = rng.bernoulli(0.5);
+    Overlay o(opts);
+    // Every third ring holds at most finger_spread + 2 nodes, where the
+    // reach falls back to eligible() or only just stops doing so.
+    const std::size_t most = trial % 3 == 0 ? opts.finger_spread + 2 : 300;
+    const std::size_t n = std::min<std::size_t>(
+        2 + rng.index(most - 1), static_cast<std::size_t>(o.ring_size()));
+    for (std::size_t k = 0; k < n; ++k)
+      o.add_node_random(rng, 1.0, 2 + static_cast<int>(rng.index(12)), 0.8);
+    for (NodeIndex i = 0; i < n; ++i) o.build_table(i);
+
+    for (NodeIndex i = 0; i < n; ++i)
+      for (std::size_t slot = 0; slot < o.node(i).table.num_entries(); ++slot)
+        for (const dht::NodeIndex32 c :
+             o.node(i).table.entry(slot).candidates(o.arena().cands))
+          ASSERT_TRUE(o.eligible(i, slot, c))
+              << "trial " << trial << " node " << i << " slot " << slot;
+
+    for (NodeIndex i = 0; i < n; ++i) {
+      const std::uint64_t reach = o.finger_reach(i);
+      for (const auto& [host, slot] : o.expansion_targets(i, 1 << 20)) {
+        if (slot == o.successor_entry()) continue;
+        ASSERT_EQ(o.finger_eligible(host, slot, i, reach),
+                  o.eligible(host, slot, i))
+            << "trial " << trial << " host " << host << " m " << slot;
+      }
+      for (int q = 0; q < 20; ++q) {
+        const NodeIndex host = rng.index(n);
+        const std::size_t m = rng.index(static_cast<std::size_t>(o.bits()));
+        ASSERT_EQ(o.finger_eligible(host, m, i, reach),
+                  o.eligible(host, m, i))
+            << "trial " << trial << " host " << host << " m " << m;
+      }
+    }
+    // Expansion keeps every entry eligible too.
+    for (NodeIndex i = 0; i < n; ++i) o.expand_indegree(i, 4, 64);
+    for (NodeIndex i = 0; i < n; ++i)
+      for (std::size_t slot = 0; slot < o.node(i).table.num_entries(); ++slot)
+        for (const dht::NodeIndex32 c :
+             o.node(i).table.entry(slot).candidates(o.arena().cands))
+          ASSERT_TRUE(o.eligible(i, slot, c));
+    o.check_invariants();
+  }
+}
+
 }  // namespace
 }  // namespace ert::chord

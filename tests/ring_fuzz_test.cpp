@@ -152,12 +152,15 @@ void check_random_query(const RingDirectory& dir, const Reference& ref,
       break;
     case 1:
       ASSERT_EQ(dir.successor(key), ref.successor(key));
-      if (ref.size() > 0) ASSERT_EQ(dir.successor_id(key), ref.successor_id(key));
+      if (ref.size() > 0) {
+        ASSERT_EQ(dir.successor_id(key), ref.successor_id(key));
+      }
       break;
     case 2:
       ASSERT_EQ(dir.predecessor(key), ref.predecessor(key));
-      if (ref.size() > 0)
+      if (ref.size() > 0) {
         ASSERT_EQ(dir.predecessor_id(key), ref.predecessor_id(key));
+      }
       break;
     case 3: {
       const std::size_t k = 1 + rng.index(8);
@@ -197,6 +200,34 @@ void check_random_query(const RingDirectory& dir, const Reference& ref,
       ASSERT_EQ(dir.ids(), ref.ids());
       break;
   }
+}
+
+void expect_pairs_match(const RingDirectory& dir, const Reference& ref,
+                        const std::vector<std::uint64_t>& ids,
+                        const std::vector<IdOwner>& pairs) {
+  ASSERT_EQ(pairs.size(), ids.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    ASSERT_EQ(pairs[j].first, ids[j]);
+    ASSERT_EQ(std::optional<NodeIndex>(pairs[j].second), dir.owner_of(ids[j]));
+    ASSERT_EQ(std::optional<NodeIndex>(pairs[j].second), ref.owner_of(ids[j]));
+  }
+}
+
+/// The owner-yielding window scans must equal the id-only scan followed by
+/// one owner_of per returned id, on both sides of the key. Flushes any
+/// staged bulk inserts as a side effect, like every ordered query.
+void check_pair_scans(const RingDirectory& dir, const Reference& ref,
+                      std::uint64_t key, std::size_t k) {
+  std::vector<std::uint64_t> ids;
+  std::vector<IdOwner> pairs;
+  dir.successors_of(key, k, ids);
+  dir.successors_of(key, k, pairs);
+  ASSERT_EQ(ids, ref.successors_of(key, k));
+  expect_pairs_match(dir, ref, ids, pairs);
+  dir.predecessors_of(key, k, ids);
+  dir.predecessors_of(key, k, pairs);
+  ASSERT_EQ(ids, ref.predecessors_of(key, k));
+  expect_pairs_match(dir, ref, ids, pairs);
 }
 
 TEST(RingFuzz, MatchesReferenceModel) {
@@ -345,6 +376,57 @@ TEST(RingFuzz, BulkStagingMatchesIncremental) {
       ref.erase(victim);
     }
   }
+}
+
+// Pair scans under random inserts and erases on a small, dense ring, so
+// windows wrap and k often reaches or exceeds the occupied count. Keys are
+// occupied ids half the time. Bulk rounds interleave the scans with staged
+// inserts, each scan forcing a mid-bulk flush.
+TEST(RingFuzz, PairScansMatchIdScanPlusOwnerOf) {
+  const std::uint64_t modulus = 64;
+  RingDirectory dir(modulus);
+  Reference ref(modulus);
+  Rng rng(20261017);
+  NodeIndex next_node = 0;
+
+  const auto random_scan = [&] {
+    const std::uint64_t key = ref.size() > 0 && rng.bernoulli(0.5)
+                                  ? ref.any_id(rng)
+                                  : rng.bits() % modulus;
+    check_pair_scans(dir, ref, key, rng.index(ref.size() + 3));
+  };
+  for (int round = 0; round < 40; ++round) {
+    const bool bulk = round % 2 == 1;
+    if (bulk) dir.begin_bulk();
+    const int ops = 1 + static_cast<int>(rng.index(40));
+    for (int op = 0; op < ops; ++op) {
+      if (!bulk && ref.size() > 0 && rng.bernoulli(0.4)) {
+        const std::uint64_t victim =
+            rng.bernoulli(0.8) ? ref.any_id(rng) : rng.bits() % modulus;
+        ASSERT_EQ(dir.erase(victim), ref.erase(victim));
+      } else {
+        const std::uint64_t id = rng.bits() % modulus;
+        ASSERT_EQ(dir.insert(id, next_node), ref.insert(id, next_node));
+        ++next_node;
+      }
+      if (rng.bernoulli(0.3)) random_scan();
+      if (bulk) {
+        ASSERT_TRUE(dir.in_bulk());
+      }
+    }
+    if (bulk) dir.end_bulk();
+    for (int q = 0; q < 20; ++q) random_scan();
+    // Every id as key, with k at, below and beyond the occupied count.
+    for (const std::uint64_t id : ref.ids())
+      for (const std::size_t k : {ref.size() - 1, ref.size(), ref.size() + 5})
+        check_pair_scans(dir, ref, id, k);
+  }
+  // The empty directory yields empty windows.
+  while (ref.size() > 0) {
+    const std::uint64_t victim = ref.any_id(rng);
+    ASSERT_EQ(dir.erase(victim), ref.erase(victim));
+  }
+  check_pair_scans(dir, ref, 7, 3);
 }
 
 TEST(RingFuzz, PositionDistanceSymmetricAndBounded) {

@@ -362,9 +362,11 @@ std::vector<ExpansionTarget> Overlay::expansion_targets(
   return out;
 }
 
-void Overlay::expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
-                                     std::vector<ExpansionTarget>& out) const {
-  out.clear();
+template <typename Fn>
+void Overlay::for_each_expansion_target(dht::NodeIndex i,
+                                        std::size_t max_targets,
+                                        Fn&& fn) const {
+  if (max_targets == 0) return;
   const OverlayNode& me = nodes_.at(i);
   const int k = me.id.k;
   // Stamp the current backward fingers once so the per-host membership test
@@ -373,21 +375,18 @@ void Overlay::expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
   inlink_seen_.begin_epoch(nodes_.size());
   for (const auto& f : me.inlinks.fingers(arena_.fingers))
     inlink_seen_.mark(f.node);
-  // Accepts one host; returns false once `out` is full so streaming scans
-  // stop instead of materializing whole cyclic classes (thousands of nodes
-  // at 2^17) to then keep ~20.
-  auto try_push = [&](dht::NodeIndex h, std::size_t slot) {
-    if (out.size() >= max_targets) return false;
+  // Offers one host to `fn`; returns false once `max_targets` targets were
+  // produced or `fn` asked to stop, and every scan below then exits, so
+  // neither whole cyclic classes (thousands of nodes at 2^17) nor the rest
+  // of the enumeration are walked for a caller that wants one link.
+  std::size_t produced = 0;
+  bool stopped = false;
+  auto offer = [&](dht::NodeIndex h, std::size_t slot) {
     if (h == i || !nodes_[h].alive) return true;
     // Algorithm 1 skips ids already among the backward fingers.
     if (inlink_seen_.test(h)) return true;
-    out.emplace_back(h, slot);
-    return true;
-  };
-  auto push_hosts = [&](const std::vector<dht::NodeIndex>& hosts,
-                        std::size_t slot) {
-    for (dht::NodeIndex h : hosts)
-      if (!try_push(h, slot)) return;
+    if (!fn(h, slot) || ++produced >= max_targets) stopped = true;
+    return !stopped;
   };
   if (k + 1 < space_.dimension()) {
     const dht::RingDirectory& dir =
@@ -401,48 +400,64 @@ void Overlay::expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
     dir.for_each_in_range_until(
         cub_base, cub_base + span,
         [&](std::uint64_t, dht::NodeIndex h) {
-          return try_push(h, kCubicalEntry);
+          return offer(h, kCubicalEntry);
         });
+    if (stopped) return;
     // Hosts (k+1, ...) whose cyclic entry we satisfy: bits >= k+1 match
     // (same-cycle hosts excluded).
     const std::uint64_t cyc_base = me.id.a & ~low_mask(k + 1);
     dir.for_each_in_range_until(
         cyc_base, cyc_base + span, [&](std::uint64_t, dht::NodeIndex h) {
           if (nodes_[h].id.a == me.id.a) return true;
-          return try_push(h, kCyclicEntry);
+          return offer(h, kCyclicEntry);
         });
+    if (stopped) return;
   }
   // Successor/predecessor probing (assumed by Theorem 3.3): same-cycle
   // members can take us into their inside leaf sets, adjacent cycles into
-  // their outside leaf sets.
+  // their outside leaf sets. `fn` may link, which touches neither these
+  // scratch buffers nor the membership they were read from.
   cycle_members(me.id.a, members_scratch_);
-  std::erase(members_scratch_, i);
-  push_hosts(members_scratch_, kInsideLeafEntry);
+  for (dht::NodeIndex h : members_scratch_)
+    if (!offer(h, kInsideLeafEntry)) return;
   nearby_cycles(me.id.a, 1, cycles_scratch_);
   for (std::uint64_t cyc : cycles_scratch_) {
     cycle_members(cyc, members_scratch_);
-    push_hosts(members_scratch_, kOutsideLeafEntry);
+    for (dht::NodeIndex h : members_scratch_)
+      if (!offer(h, kOutsideLeafEntry)) return;
   }
+}
+
+void Overlay::expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
+                                     std::vector<ExpansionTarget>& out) const {
+  out.clear();
+  for_each_expansion_target(i, max_targets,
+                            [&](dht::NodeIndex h, std::size_t slot) {
+                              out.emplace_back(h, slot);
+                              return true;
+                            });
 }
 
 int Overlay::expand_indegree(dht::NodeIndex i, int want,
                              std::size_t max_probes) {
-  if (want <= 0) return 0;
+  if (want <= 0 || !nodes_[i].budget.can_accept()) return 0;
   int gained = 0;
-  expansion_targets_into(i, max_probes, targets_scratch_);
-  for (const auto& [host, slot] : targets_scratch_) {
-    if (gained >= want) break;
-    if (!nodes_[i].budget.can_accept()) break;
-    if (link(host, slot, i, /*respect_budget=*/true)) {
-      ++gained;
-      if (trace_ && trace_->wants(trace::Category::kLink))
-        trace_->emit(trace::EventType::kLinkAdopt, i, 0,
-                     static_cast<std::int64_t>(host),
-                     static_cast<std::int64_t>(nodes_[i].inlinks.size()));
-      if (meter_)
-        meter_->on_backward_add(i, host, nodes_[i].inlinks.size());
-    }
-  }
+  // Link each target as it is produced and stop once the node has what it
+  // wants. link() changes nothing the enumeration reads, so these are the
+  // same link() calls, in the same order, as over the full target list.
+  for_each_expansion_target(
+      i, max_probes, [&](dht::NodeIndex host, std::size_t slot) {
+        if (link(host, slot, i, /*respect_budget=*/true)) {
+          ++gained;
+          if (trace_ && trace_->wants(trace::Category::kLink))
+            trace_->emit(trace::EventType::kLinkAdopt, i, 0,
+                         static_cast<std::int64_t>(host),
+                         static_cast<std::int64_t>(nodes_[i].inlinks.size()));
+          if (meter_)
+            meter_->on_backward_add(i, host, nodes_[i].inlinks.size());
+        }
+        return gained < want && nodes_[i].budget.can_accept();
+      });
   return gained;
 }
 

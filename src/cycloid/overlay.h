@@ -271,6 +271,16 @@ class Overlay {
   void expansion_targets_into(dht::NodeIndex i, std::size_t max_targets,
                               std::vector<ExpansionTarget>& out) const;
 
+  /// The expansion enumeration itself: calls `fn(host, slot)` for up to
+  /// `max_targets` targets in expansion_targets order (cubical range,
+  /// cyclic range, inside-leaf members, outside-leaf members), skipping
+  /// `i`, dead hosts and hosts that were backward fingers of `i` at entry.
+  /// `fn` returns false to stop. It may call link(), which changes none of
+  /// the state the enumeration reads.
+  template <typename Fn>
+  void for_each_expansion_target(dht::NodeIndex i, std::size_t max_targets,
+                                 Fn&& fn) const;
+
   void order_by_policy(dht::NodeIndex owner,
                        std::vector<dht::NodeIndex>& cands) const;
 

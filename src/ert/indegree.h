@@ -100,7 +100,9 @@ class BackwardFingerList {
   /// Picks up to k fingers to shed: longest logical distance first, ties by
   /// longest physical distance. Writes node indices in eviction order into
   /// `out` (cleared first); `scratch` is sort space. Both are caller-owned
-  /// so steady-state adaptation reuses warm capacity.
+  /// so steady-state adaptation reuses warm capacity. Selects the top k
+  /// without sorting the whole list; the result always equals the first k
+  /// of a full std::sort of the list in pool order.
   void pick_evictions(const FingerPool& pool, std::size_t k,
                       std::vector<BackwardFinger>& scratch,
                       std::vector<dht::NodeIndex>& out) const;

@@ -227,6 +227,7 @@ class Engine {
     }
 
     reals_.resize(n);
+    alive_reals_ = n;
     for (std::size_t r = 0; r < n; ++r) reals_[r].cap = caps_.normalized(r);
     degrees_ = std::make_unique<metrics::DegreeTracker>(n);
     observe_degrees();
@@ -914,6 +915,7 @@ class Engine {
     RealNode rn;
     rn.cap = caps_.normalized(r);
     reals_.push_back(std::move(rn));
+    ++alive_reals_;
     // The overlay slot the join landed on: -1 when rejected (id space
     // full); for VS the first virtual server of the new real node.
     std::int64_t overlay_slot = -1;
@@ -926,6 +928,7 @@ class Engine {
     } else {
       if (substrate_->id_space_full()) {
         reals_[r].alive = false;  // id space full: join rejected
+        --alive_reals_;
         overlay_of_real_.push_back(dht::kNoNode);
         if (tracing(trace::Category::kChurn))
           trace_->emit(trace::EventType::kChurnJoin, r, 0, -1);
@@ -966,6 +969,13 @@ class Engine {
   }
 
   std::size_t alive_reals() const {
+    assert(alive_reals_ == debug_alive_count() &&
+           "alive-real counter out of sync with reals_");
+    return alive_reals_;
+  }
+
+  /// Recount behind alive_reals()'s assertion: O(reals that ever joined).
+  std::size_t debug_alive_count() const {
     std::size_t n = 0;
     for (const auto& rn : reals_)
       if (rn.alive) ++n;
@@ -974,7 +984,9 @@ class Engine {
 
   void depart_real(std::size_t r, bool crash = false) {
     RealNode& rn = reals_[r];
+    assert(rn.alive && "departing a real node that is not alive");
     rn.alive = false;
+    --alive_reals_;
     if (tracing(trace::Category::kChurn))
       trace_->emit(crash ? trace::EventType::kCrash
                          : trace::EventType::kChurnDepart,
@@ -1270,6 +1282,9 @@ class Engine {
   workload::ImpulseWorkload impulse_;
   std::unique_ptr<workload::ZipfKeys> zipf_;
   std::vector<RealNode> reals_;
+  /// Number of reals_ entries with `alive` set, kept in step at build,
+  /// join, rejected join and departure so churn never rescans reals_.
+  std::size_t alive_reals_ = 0;
   std::vector<NodeIndex> overlay_of_real_;    ///< real -> overlay (non-VS).
   std::vector<std::size_t> real_of_overlay_;  ///< overlay -> real (non-VS).
   std::vector<Query> queries_;            ///< indexed by recycled slot.

@@ -256,8 +256,8 @@ INSTANTIATE_TEST_SUITE_P(AllSubstrates, AllocFreeHopLoop,
                                            SubstrateKind::kCan,
                                            SubstrateKind::kKademlia,
                                            SubstrateKind::kD1ht),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
+                         [](const auto& test_info) {
+                           return std::string(to_string(test_info.param));
                          });
 
 /// The other steady-state path: the periodic adaptation sweep. Shedding
@@ -351,8 +351,8 @@ INSTANTIATE_TEST_SUITE_P(AllSubstrates, AllocFreeAdaptation,
                                            SubstrateKind::kCan,
                                            SubstrateKind::kKademlia,
                                            SubstrateKind::kD1ht),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
+                         [](const auto& test_info) {
+                           return std::string(to_string(test_info.param));
                          });
 
 /// The sharded PDES kernel (docs/PDES.md): per-shard pooled queues, the
@@ -428,8 +428,8 @@ TEST_P(AllocFreeShardedKernel, SteadyStateWindowsAllocateNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SimThreads, AllocFreeShardedKernel,
-                         ::testing::Values(1, 4), [](const auto& info) {
-                           return "shards" + std::to_string(info.param);
+                         ::testing::Values(1, 4), [](const auto& test_info) {
+                           return "shards" + std::to_string(test_info.param);
                          });
 
 /// The wire serialize path (docs/WIRE.md): encode into an arena-pooled

@@ -220,10 +220,10 @@ INSTANTIATE_TEST_SUITE_P(
         Case{Protocol::kErtA, SubstrateKind::kD1ht},
         Case{Protocol::kErtF, SubstrateKind::kD1ht},
         Case{Protocol::kErtAF, SubstrateKind::kD1ht}),
-    [](const auto& info) {
-      std::string name{to_string(info.param.protocol)};
+    [](const auto& test_info) {
+      std::string name{to_string(test_info.param.protocol)};
       name += "_";
-      name += to_string(info.param.substrate);
+      name += to_string(test_info.param.substrate);
       for (char& ch : name)
         if (ch == '/') ch = '_';
       return name;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace ert::cycloid {
 namespace {
@@ -123,6 +124,136 @@ TEST(CycloidOverlay, ExpansionRespectsOwnBudget) {
   EXPECT_TRUE(!o.node(i).budget.can_accept() || gained < 2);
 }
 
+/// An ERT-bounded Cycloid of dimension d: every id when `full`, else `n`
+/// random ids. Budgets and ids come from `seed` alone, so two calls with
+/// the same arguments build identical overlays.
+Overlay ert_overlay(int d, bool full, std::size_t n, std::uint64_t seed) {
+  OverlayOptions opts;
+  opts.dimension = d;
+  opts.policy = NeighborPolicy::kSpareIndegree;
+  opts.enforce_indegree_bounds = true;
+  // An arbitrary asymmetric metric so backward fingers carry physical
+  // distances too.
+  Overlay o(opts, [](NodeIndex a, NodeIndex b) {
+    return static_cast<double>((a * 7 + b * 13) % 17);
+  });
+  Rng rng(seed);
+  const IdSpace space(d);
+  const std::size_t count = full ? space.size() : n;
+  for (std::uint64_t lv = 0; lv < count; ++lv) {
+    const int max_indegree = 4 + static_cast<int>(rng.index(12));
+    if (full)
+      o.add_node(space.from_linear(lv), 1.0, max_indegree, 0.8);
+    else
+      o.add_node_random(rng, 1.0, max_indegree, 0.8);
+  }
+  for (NodeIndex i = 0; i < o.num_slots(); ++i) o.build_table(i, rng);
+  return o;
+}
+
+/// Expansion as a precomputed target list linked in order: the loop
+/// expand_indegree ran before it streamed its targets.
+int expand_by_target_list(Overlay& o, NodeIndex i, int want,
+                          std::size_t max_probes) {
+  if (want <= 0) return 0;
+  int gained = 0;
+  for (const auto& [host, slot] : o.expansion_targets(i, max_probes)) {
+    if (gained >= want) break;
+    if (!o.node(i).budget.can_accept()) break;
+    if (o.link(host, slot, i, /*respect_budget=*/true)) ++gained;
+  }
+  return gained;
+}
+
+/// Asserts equal tables, backward fingers and budgets on every node.
+void expect_same_links(const Overlay& a, const Overlay& b) {
+  ASSERT_EQ(a.num_slots(), b.num_slots());
+  for (NodeIndex i = 0; i < a.num_slots(); ++i) {
+    const OverlayNode& na = a.node(i);
+    const OverlayNode& nb = b.node(i);
+    ASSERT_EQ(na.alive, nb.alive) << "node " << i;
+    for (std::size_t slot = 0; slot < kNumEntries; ++slot) {
+      const auto ca = na.table.entry(slot).candidates(a.arena().cands);
+      const auto cb = nb.table.entry(slot).candidates(b.arena().cands);
+      ASSERT_EQ(std::vector<dht::NodeIndex32>(ca.begin(), ca.end()),
+                std::vector<dht::NodeIndex32>(cb.begin(), cb.end()))
+          << "node " << i << " slot " << slot;
+    }
+    const auto fa = na.inlinks.fingers(a.arena().fingers);
+    const auto fb = nb.inlinks.fingers(b.arena().fingers);
+    ASSERT_EQ(fa.size(), fb.size()) << "node " << i;
+    for (std::size_t j = 0; j < fa.size(); ++j) {
+      ASSERT_EQ(fa[j].node, fb[j].node) << "node " << i;
+      ASSERT_EQ(fa[j].logical_distance, fb[j].logical_distance);
+      ASSERT_EQ(fa[j].physical_distance, fb[j].physical_distance);
+    }
+    ASSERT_EQ(na.budget.indegree(), nb.budget.indegree()) << "node " << i;
+    ASSERT_EQ(na.budget.max_indegree(), nb.budget.max_indegree());
+    ASSERT_EQ(na.budget.forced_accepts(), nb.budget.forced_accepts());
+  }
+}
+
+TEST(CycloidOverlay, StreamedExpansionMatchesTargetList) {
+  struct Case {
+    int d;
+    bool full;
+    std::size_t n;  // ids occupied when not full
+    std::size_t failures;
+  };
+  const Case cases[] = {
+      {4, true, 0, 0},    {5, true, 0, 6},     {6, true, 0, 0},
+      {6, false, 200, 0}, {6, false, 200, 12}, {7, false, 300, 20},
+  };
+  std::uint64_t seed = 31;
+  int stopped_at_want = 0;
+  int total_gained = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "d " << c.d << " full " << c.full
+                                    << " n " << c.n << " failures "
+                                    << c.failures);
+    ++seed;
+    Overlay listed = ert_overlay(c.d, c.full, c.n, seed);
+    Overlay streamed = ert_overlay(c.d, c.full, c.n, seed);
+    expect_same_links(listed, streamed);
+    Rng rng(seed * 101);
+    for (std::size_t f = 0; f < c.failures; ++f) {
+      const NodeIndex v = rng.index(listed.num_slots());
+      listed.fail(v);
+      streamed.fail(v);
+    }
+    for (int round = 0; round < 400; ++round) {
+      const NodeIndex i = rng.index(listed.num_slots());
+      if (!listed.node(i).alive) continue;
+      const int want = 1 + static_cast<int>(rng.index(8));
+      const std::size_t cap = std::size_t{16} << rng.index(5);  // 16..256
+      // Room to grow on some rounds, shedding on others, so expansion
+      // meets both full and open budgets.
+      if (rng.index(3) == 0) {
+        listed.mutable_node(i).budget.raise_bound_by(want);
+        streamed.mutable_node(i).budget.raise_bound_by(want);
+      }
+      if (rng.index(4) == 0) {
+        const int shed = 1 + static_cast<int>(rng.index(3));
+        ASSERT_EQ(listed.shed_indegree(i, shed),
+                  streamed.shed_indegree(i, shed));
+      }
+      const int expected = expand_by_target_list(listed, i, want, cap);
+      const int got = streamed.expand_indegree(i, want, cap);
+      ASSERT_EQ(expected, got) << "round " << round << " node " << i
+                               << " want " << want << " cap " << cap;
+      total_gained += got;
+      if (got == want) ++stopped_at_want;
+      if (round % 50 == 0) expect_same_links(listed, streamed);
+    }
+    expect_same_links(listed, streamed);
+    listed.check_invariants();
+    streamed.check_invariants();
+  }
+  // The comparison must have covered early stops, not only empty rounds.
+  EXPECT_GT(total_gained, 100);
+  EXPECT_GT(stopped_at_want, 50);
+}
+
 TEST(CycloidOverlay, ShedEvictsAndFixesBudget) {
   Overlay o = full_overlay(6, NeighborPolicy::kSpareIndegree, true, 1000);
   // Pick any node with indegree >= 3.
@@ -141,8 +272,9 @@ TEST(CycloidOverlay, ShedEvictsAndFixesBudget) {
       EXPECT_GE(o.node(i).budget.indegree(), before - 2);
       // Evicted pointers no longer link to i.
       for (NodeIndex j = 0; j < o.num_slots(); ++j) {
-        if (o.node(j).table.links_to(o.arena().cands, i))
+        if (o.node(j).table.links_to(o.arena().cands, i)) {
           EXPECT_TRUE(o.node(i).inlinks.contains(o.arena().fingers, j));
+        }
       }
       o.check_invariants();
       return;

@@ -128,9 +128,10 @@ TEST(D1ht, GracefulLeaveKeepsOneHopRouting) {
     for (NodeIndex i = 0; i < o.num_slots(); ++i) {
       if (!o.node(i).alive) continue;
       for (NodeIndex v = 0; v < o.num_slots(); ++v)
-        if (!o.node(v).alive)
+        if (!o.node(v).alive) {
           EXPECT_FALSE(o.node(i).table.entry(kFullTableEntry)
                            .contains(o.arena().cands, v));
+        }
     }
     for (int t = 0; t < 60; ++t) {
       NodeIndex src = rng.index(o.num_slots());

@@ -77,8 +77,8 @@ INSTANTIATE_TEST_SUITE_P(
     Protocols, AllProtocolsTest,
     ::testing::Values(Protocol::kBase, Protocol::kNS, Protocol::kVS,
                       Protocol::kErtA, Protocol::kErtF, Protocol::kErtAF),
-    [](const auto& info) {
-      std::string name{to_string(info.param)};
+    [](const auto& test_info) {
+      std::string name{to_string(test_info.param)};
       for (char& c : name)
         if (c == '/') c = '_';
       return name;

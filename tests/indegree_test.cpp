@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace ert::core {
 namespace {
 
@@ -85,6 +91,81 @@ TEST(BackwardFingerList, EvictionsClampToSize) {
   EXPECT_EQ(ev.size(), 1u);
   l.pick_evictions(pool, 0, scratch, ev);
   EXPECT_EQ(ev.size(), 0u);
+}
+
+/// The eviction ranking as a full std::sort of the list in pool order: the
+/// original pick_evictions body, kept verbatim as the reference that the
+/// top-k selection must reproduce, ties included.
+std::vector<dht::NodeIndex> full_sort_evictions(
+    std::span<const BackwardFinger> fingers, std::size_t k) {
+  std::vector<BackwardFinger> scratch;
+  std::vector<dht::NodeIndex> out;
+  scratch.assign(fingers.begin(), fingers.end());
+  std::sort(scratch.begin(), scratch.end(),
+            [](const BackwardFinger& a, const BackwardFinger& b) {
+              if (a.logical_distance != b.logical_distance)
+                return a.logical_distance > b.logical_distance;
+              return a.physical_distance > b.physical_distance;
+            });
+  k = std::min(k, scratch.size());
+  out.clear();
+  for (std::size_t i = 0; i < k; ++i) out.push_back(scratch[i].node);
+  return out;
+}
+
+TEST(BackwardFingerList, EvictionsMatchFullSort) {
+  // Key shapes: distinct keys, ties in logical distance only, ties in both
+  // logical and physical distance (the std::sort tie-break), three distinct
+  // longest keys over a tied tail, and one key shared by every finger.
+  enum class Keys { kDistinct, kLogicalTies, kFullTies, kTailTies, kAllEqual };
+  Rng rng(2024);
+  std::vector<BackwardFinger> scratch;  // warm and stale across calls
+  std::vector<dht::NodeIndex> ev;
+  for (const Keys keys : {Keys::kDistinct, Keys::kLogicalTies,
+                          Keys::kFullTies, Keys::kTailTies, Keys::kAllEqual}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::size_t size = trial < 3 ? static_cast<std::size_t>(trial)
+                                         : rng.index(201);
+      FingerPool pool;
+      BackwardFingerList l;
+      for (std::size_t j = 0; j < size; ++j) {
+        BackwardFinger f;
+        f.node = static_cast<dht::NodeIndex>(j);
+        switch (keys) {
+          case Keys::kDistinct:
+            f.logical_distance = rng.bits() >> 20;
+            f.physical_distance = rng.uniform(0.0, 100.0);
+            break;
+          case Keys::kLogicalTies:
+            f.logical_distance = static_cast<std::uint64_t>(rng.index(5));
+            f.physical_distance = rng.uniform(0.0, 100.0);
+            break;
+          case Keys::kFullTies:
+            f.logical_distance = static_cast<std::uint64_t>(rng.index(4));
+            f.physical_distance = 0.5 * static_cast<double>(rng.index(2));
+            break;
+          case Keys::kTailTies:
+            f.logical_distance = j < 3 ? 1000 + j : 5;
+            f.physical_distance = 0.0;
+            break;
+          case Keys::kAllEqual:
+            f.logical_distance = 7;
+            f.physical_distance = 1.5;
+            break;
+        }
+        ASSERT_TRUE(l.add(pool, f));
+      }
+      const auto fingers = l.fingers(pool);
+      std::vector<std::size_t> ks = {0, 1, 2, size, size + 1};
+      if (size > 0) ks.push_back(size - 1);
+      for (const std::size_t k : ks) {
+        l.pick_evictions(pool, k, scratch, ev);
+        EXPECT_EQ(ev, full_sort_evictions(fingers, k))
+            << "size " << size << " k " << k << " key shape "
+            << static_cast<int>(keys);
+      }
+    }
+  }
 }
 
 TEST(BackwardFingerList, Clear) {

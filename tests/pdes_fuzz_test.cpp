@@ -220,7 +220,9 @@ TEST(PdesFuzz, CrossShardEdgesRespectLookaheadFloor) {
     Child c[2];
     const int n = derive_children(id, 0, 8, /*t=*/1.0, /*depth=*/0, c);
     for (int k = 0; k < n; ++k) {
-      if (c[k].cross) EXPECT_GE(c[k].when, 1.0 + kLookahead);
+      if (c[k].cross) {
+        EXPECT_GE(c[k].when, 1.0 + kLookahead);
+      }
     }
   }
 }

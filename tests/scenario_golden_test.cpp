@@ -137,9 +137,9 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple("waves", SubstrateKind::kCycloid),
         std::make_tuple("waves", SubstrateKind::kChord),
         std::make_tuple("waves", SubstrateKind::kKademlia)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             substrate_slug(std::get<1>(info.param));
+    [](const auto& test_info) {
+      return std::get<0>(test_info.param) + "_" +
+             substrate_slug(std::get<1>(test_info.param));
     });
 
 // --- the zero-intensity contract, end to end ---------------------------------

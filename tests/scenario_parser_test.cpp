@@ -229,7 +229,9 @@ TEST(ScenarioParserFuzz, RandomBytesNeverCrash) {
     for (std::size_t j = 0; j < len; ++j)
       input += static_cast<char>(rng.index(256));
     const ParseResult r = parse(input);  // exercise raw-byte robustness
-    if (!r.ok) EXPECT_GT(r.line, 0);
+    if (!r.ok) {
+      EXPECT_GT(r.line, 0);
+    }
   }
 }
 

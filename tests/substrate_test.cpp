@@ -63,10 +63,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{SubstrateKind::kD1ht, Protocol::kErtA},
                       Case{SubstrateKind::kD1ht, Protocol::kErtF},
                       Case{SubstrateKind::kD1ht, Protocol::kErtAF}),
-    [](const auto& info) {
-      std::string name{to_string(info.param.kind)};
+    [](const auto& test_info) {
+      std::string name{to_string(test_info.param.kind)};
       name += "_";
-      for (char c : to_string(info.param.proto))
+      for (char c : to_string(test_info.param.proto))
         if (c != '/') name.push_back(c);
       return name;
     });

@@ -143,9 +143,10 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(SubstrateKind::kD1ht, Protocol::kErtA),
         std::make_tuple(SubstrateKind::kD1ht, Protocol::kErtF),
         std::make_tuple(SubstrateKind::kD1ht, Protocol::kErtAF)),
-    [](const auto& info) {
-      std::string s = std::string(to_string(std::get<0>(info.param))) + "_" +
-                      slug(std::get<1>(info.param));
+    [](const auto& test_info) {
+      std::string s =
+          std::string(to_string(std::get<0>(test_info.param))) + "_" +
+          slug(std::get<1>(test_info.param));
       for (auto& c : s)
         if (c == '-') c = '_';
       return s;

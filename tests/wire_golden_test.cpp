@@ -153,9 +153,9 @@ INSTANTIATE_TEST_SUITE_P(
     WireMatrix, GoldenWireTest,
     ::testing::Values(std::make_tuple("flash", SubstrateKind::kCycloid),
                       std::make_tuple("waves", SubstrateKind::kChord)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             substrate_slug(std::get<1>(info.param));
+    [](const auto& test_info) {
+      return std::get<0>(test_info.param) + "_" +
+             substrate_slug(std::get<1>(test_info.param));
     });
 
 }  // namespace

@@ -313,10 +313,10 @@ bool Overlay::link_shortcut(dht::NodeIndex from, dht::NodeIndex to,
   if (!f.table.entry(kShortcutEntry).add(arena_.cands, to)) return false;
   const double dist = net::torus_distance(f.zone.center(), t.zone.center());
   if (!t.budget.can_accept()) t.budget.on_forced_inlink();
-  t.inlinks.add(arena_.fingers,
-                core::BackwardFinger{
-                    from, static_cast<std::uint64_t>(dist * 1e9),
-                    phys_dist_ ? phys_dist_(from, to) : dist});
+  t.inlinks.append(arena_.fingers,
+                   core::BackwardFinger{
+                       from, static_cast<std::uint64_t>(dist * 1e9),
+                       phys_dist_ ? phys_dist_(from, to) : dist});
   t.budget.on_inlink_added();
   return true;
 }

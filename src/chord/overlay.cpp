@@ -32,6 +32,23 @@ dht::NodeIndex Overlay::add_node(std::uint64_t id, double capacity,
   return idx;
 }
 
+void Overlay::begin_bulk_insert(std::size_t expected) {
+  if (expected > 0) {
+    nodes_.reserve(nodes_.size() + expected);
+    // Each node builds about bits + successor_list links, one candidate
+    // and one backward finger apiece, and a pooled set fills at least half
+    // of its power-of-two block. Sized once, the pools never regrow during
+    // the build, so no doubling copies a live pool; reserved pages stay
+    // untouched until used.
+    const std::size_t links =
+        expected *
+        (static_cast<std::size_t>(opts_.bits) + opts_.successor_list);
+    arena_.cands.reserve(arena_.cands.backing_size() + 2 * links);
+    arena_.fingers.reserve(arena_.fingers.backing_size() + 2 * links);
+  }
+  directory_.begin_bulk(expected);
+}
+
 dht::NodeIndex Overlay::add_node_random(Rng& rng, double capacity,
                                         int max_indegree, double beta) {
   for (;;) {
@@ -68,21 +85,22 @@ bool Overlay::link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
                    bool respect_budget) {
   // The local rejections run before the eligibility window's descent; all
   // checks are pure, so their order cannot change the outcome.
-  return attachable(from, slot, to, respect_budget) &&
+  return attachable(from, slot, to, respect_budget,
+                    nodes_.at(to).inlinks.contains(arena_.fingers, from)) &&
          eligible(from, slot, to) && attach(from, slot, to);
 }
 
 bool Overlay::attachable(dht::NodeIndex from, std::size_t slot,
-                         dht::NodeIndex to, bool respect_budget) const {
+                         dht::NodeIndex to, bool respect_budget,
+                         bool paired) const {
   const ChordNode& f = nodes_.at(from);
-  const ChordNode& t = nodes_.at(to);
-  if (!f.alive || !t.alive || from == to) return false;
-  if (respect_budget && !t.budget.can_accept()) return false;
-  if (t.inlinks.contains(arena_.fingers, from))
-    return false;  // one role per ordered pair
+  if (!f.alive || from == to || paired) return false;
   if (f.table.entry(slot).size() >= opts_.finger_spread &&
       slot != successor_entry())
     return false;  // loose slot is full
+  const ChordNode& t = nodes_.at(to);
+  if (!t.alive) return false;
+  if (respect_budget && !t.budget.can_accept()) return false;
   return true;
 }
 
@@ -91,17 +109,33 @@ bool Overlay::attach(dht::NodeIndex from, std::size_t slot,
   ChordNode& t = nodes_[to];
   if (!nodes_[from].table.entry(slot).add(arena_.cands, to)) return false;
   if (!t.budget.can_accept()) t.budget.on_forced_inlink();
-  t.inlinks.add(arena_.fingers,
-                core::BackwardFinger{
-                    from, logical_distance(from, to),
-                    phys_dist_ ? phys_dist_(from, to) : 0.0});
+  t.inlinks.append(arena_.fingers,
+                   core::BackwardFinger{
+                       from, logical_distance(from, to),
+                       phys_dist_ ? phys_dist_(from, to) : 0.0});
   t.budget.on_inlink_added();
   return true;
 }
 
+void Overlay::stamp_targets(dht::NodeIndex i) {
+  targets_.begin_epoch(nodes_.size());
+  for (const auto& entry : nodes_[i].table.entries())
+    for (const dht::NodeIndex32 c : entry.candidates(arena_.cands))
+      targets_.mark(c);
+}
+
 bool Overlay::adopt(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
                     bool respect_budget) {
-  return attachable(from, slot, to, respect_budget) && attach(from, slot, to);
+  // targets_ answers "from already links to" for live pairs, the same
+  // question as the target's inlink list, without reading it.
+  assert(!nodes_[from].alive || !nodes_[to].alive ||
+         targets_.test(to) ==
+             nodes_[to].inlinks.contains(arena_.fingers, from));
+  if (!attachable(from, slot, to, respect_budget, targets_.test(to)) ||
+      !attach(from, slot, to))
+    return false;
+  targets_.mark(to);
+  return true;
 }
 
 bool Overlay::unlink(dht::NodeIndex from, dht::NodeIndex to) {
@@ -114,26 +148,30 @@ bool Overlay::unlink(dht::NodeIndex from, dht::NodeIndex to) {
 
 void Overlay::build_table(dht::NodeIndex i) {
   ChordNode& n = nodes_.at(i);
+  stamp_targets(i);
   // Successor list first: low fingers usually coincide with the nearest
   // successors, and the one-role-per-pair rule would otherwise leave the
   // successor entry empty (fingers then diversify via the loose window).
   // Every candidate below comes from the slot's own eligibility window, so
-  // adopt() skips recomputing it.
-  directory_.successors_of(n.id, opts_.successor_list, window_scratch_);
+  // adopt() skips recomputing it. The windows' keys ascend from n.id until
+  // id + 2^m wraps, so each search resumes where the previous one landed.
+  dht::RingDirectory::SearchHint hint;
+  directory_.successors_of(n.id, opts_.successor_list, window_scratch_, hint);
   for (const auto& [id, cand] : window_scratch_)
     adopt(i, successor_entry(), cand, false);
   for (int m = 0; m < opts_.bits; ++m)
-    fill_finger(i, static_cast<std::size_t>(m));
+    fill_finger(i, static_cast<std::size_t>(m), hint);
   n.table_built = true;
 }
 
-void Overlay::fill_finger(dht::NodeIndex i, std::size_t slot) {
+void Overlay::fill_finger(dht::NodeIndex i, std::size_t slot,
+                          dht::RingDirectory::SearchHint& hint) {
   // Link the successor of id + 2^m (the strict-Chord choice, the window's
   // first entry) when it accepts; otherwise walk the loose window.
   const std::uint64_t start =
       (nodes_[i].id + (std::uint64_t{1} << slot)) & (ring_size() - 1);
   directory_.successors_of(start == 0 ? ring_size() - 1 : start - 1,
-                           opts_.finger_spread, window_scratch_);
+                           opts_.finger_spread, window_scratch_, hint);
   for (const auto& [id, cand] : window_scratch_)
     if (adopt(i, slot, cand, opts_.enforce_indegree_bounds)) return;
   // Routability over bounds: force the strict successor if possible.
@@ -215,7 +253,9 @@ int Overlay::expand_indegree(dht::NodeIndex i, int want,
     // successor list's a descent. Every test is pure, so order is free.
     const bool finger = slot != successor_entry();
     if (finger && !finger_eligible(host, slot, i, reach)) continue;
-    if (!attachable(host, slot, i, /*respect_budget=*/true)) continue;
+    if (!attachable(host, slot, i, /*respect_budget=*/true,
+                    nodes_[i].inlinks.contains(arena_.fingers, host)))
+      continue;
     if (!finger && !eligible(host, slot, i)) continue;
     if (!attach(host, slot, i)) continue;
     ++gained;
@@ -287,12 +327,14 @@ void Overlay::repair_entry(dht::NodeIndex i, std::size_t slot) {
   for (const dht::NodeIndex32 c : entry.candidates(arena_.cands))
     if (nodes_[c].alive) return;
   if (directory_.size() < 2) return;
+  stamp_targets(i);
   if (slot == successor_entry()) {
     directory_.successors_of(n.id, opts_.successor_list, window_scratch_);
     for (const auto& [id, cand] : window_scratch_) adopt(i, slot, cand, false);
     return;
   }
-  fill_finger(i, slot);
+  dht::RingDirectory::SearchHint hint;
+  fill_finger(i, slot, hint);
 }
 
 std::uint64_t Overlay::logical_distance_to_key(dht::NodeIndex a,

@@ -148,11 +148,9 @@ class Overlay {
   /// Batched construction: between these calls, add_node stages directory
   /// inserts so the ring directory is built once from the sorted batch
   /// (O(n log n) total) instead of per-insert; `expected` pre-sizes the
-  /// slot vector and staging buffers. Queries stay exact throughout.
-  void begin_bulk_insert(std::size_t expected) {
-    if (expected > 0) nodes_.reserve(nodes_.size() + expected);
-    directory_.begin_bulk(expected);
-  }
+  /// slot vector, the staging buffers and the link pools. Queries stay
+  /// exact throughout.
+  void begin_bulk_insert(std::size_t expected);
   void end_bulk_insert() { directory_.end_bulk(); }
 
   int bits() const { return opts_.bits; }
@@ -176,19 +174,27 @@ class Overlay {
                               std::vector<ExpansionTarget>& out) const;
 
   /// link() split in two. attachable() holds the local rejections: a dead
-  /// end, a self link, the budget, one role per ordered pair, a full loose
-  /// slot. attach() records the link.
+  /// end, a self link, a full loose slot, one role per ordered pair, the
+  /// budget. `paired` answers "from already links to to"; each caller
+  /// takes it from the set it keeps at hand. The checks on `from` run
+  /// before the first read of `to`'s node. attach() records the link.
   bool attachable(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
-                  bool respect_budget) const;
+                  bool respect_budget, bool paired) const;
   bool attach(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to);
-  /// link() for a candidate taken from the slot's own eligibility window,
-  /// which therefore skips recomputing it.
+  /// Starts targets_ as the set of nodes `i`'s table links to; adopt()
+  /// keeps it current while `i` builds or repairs its own table.
+  void stamp_targets(dht::NodeIndex i);
+  /// link() for a builder `from` whose targets_ are stamped, with a
+  /// candidate taken from the slot's own eligibility window, which
+  /// therefore skips recomputing it.
   bool adopt(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
              bool respect_budget);
   /// Fills finger `slot` (m) of `i` from its eligibility window, the
   /// first finger_spread ids at or after i.id + 2^m, forcing the strict
-  /// successor when no candidate accepts within bounds.
-  void fill_finger(dht::NodeIndex i, std::size_t slot);
+  /// successor when no candidate accepts within bounds. `hint` carries
+  /// the window search over from the previous finger.
+  void fill_finger(dht::NodeIndex i, std::size_t slot,
+                   dht::RingDirectory::SearchHint& hint);
 
   ChordOptions opts_;
   PhysDistFn phys_dist_;
@@ -205,6 +211,7 @@ class Overlay {
   mutable std::vector<std::uint64_t> elig_scratch_;
   std::vector<ExpansionTarget> targets_scratch_;
   mutable dht::StampSet inlink_seen_;  ///< expansion_targets_into() only.
+  dht::StampSet targets_;  ///< the builder's targets (stamp_targets()).
   std::vector<core::BackwardFinger> evict_scratch_;
   std::vector<dht::NodeIndex> evict_out_;
 };

@@ -270,9 +270,9 @@ bool Overlay::link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
   if (t.inlinks.contains(arena_.fingers, from)) return false;
   if (!f.table.entry(slot).add(arena_.cands, to)) return false;
   if (!t.budget.can_accept()) t.budget.on_forced_inlink();
-  t.inlinks.add(arena_.fingers,
-                core::BackwardFinger{from, logical_distance(from, to),
-                                     physical_distance(from, to)});
+  t.inlinks.append(arena_.fingers,
+                   core::BackwardFinger{from, logical_distance(from, to),
+                                        physical_distance(from, to)});
   t.budget.on_inlink_added();
   return true;
 }

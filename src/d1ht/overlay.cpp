@@ -66,10 +66,10 @@ bool Overlay::link(dht::NodeIndex from, std::size_t slot, dht::NodeIndex to,
   if (entry.size() >= opts_.successor_spread) return false;
   if (!entry.add(arena_.cands, to)) return false;
   if (!t.budget.can_accept()) t.budget.on_forced_inlink();
-  t.inlinks.add(arena_.fingers,
-                core::BackwardFinger{
-                    from, logical_distance(from, to),
-                    phys_dist_ ? phys_dist_(from, to) : 0.0});
+  t.inlinks.append(arena_.fingers,
+                   core::BackwardFinger{
+                       from, logical_distance(from, to),
+                       phys_dist_ ? phys_dist_(from, to) : 0.0});
   t.budget.on_inlink_added();
   return true;
 }

@@ -114,6 +114,24 @@ CountedBTree::Locate CountedBTree::lower_bound(std::uint64_t key) const {
   return {Cursor{l, idx}, rank + static_cast<std::size_t>(idx)};
 }
 
+CountedBTree::Cursor CountedBTree::lower_bound_from(Cursor hint,
+                                                    std::uint64_t key) const {
+  const Leaf* l = hint.leaf;
+  // No earlier leaf can hold the answer when l is the head or starts at or
+  // below key; then it is in l, in l->next, or past the tail.
+  if (l && (!l->prev || l->keys[0] <= key)) {
+    for (int step = 0; step < 2; ++step, l = l->next) {
+      if (!l) return Cursor{};  // key beyond every id
+      if (key <= l->keys[l->count - 1]) {
+        const std::uint64_t* at =
+            std::lower_bound(l->keys, l->keys + l->count, key);
+        return Cursor{l, static_cast<int>(at - l->keys)};
+      }
+    }
+  }
+  return lower_bound(key).cur;
+}
+
 CountedBTree::Cursor CountedBTree::select(std::size_t rank) const {
   assert(rank < size_);
   const void* node = root_;

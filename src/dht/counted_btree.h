@@ -83,6 +83,13 @@ class CountedBTree {
   /// First pair with key >= `key`, with its rank (see Locate).
   Locate lower_bound(std::uint64_t key) const;
 
+  /// lower_bound(key).cur resumed from `hint`: a cursor this tree returned
+  /// for an earlier search with no mutation since (the end cursor means no
+  /// hint). Ascending key runs usually land in the hint's leaf or the next
+  /// one, which are scanned without a descent; any other key falls back to
+  /// a full lower_bound. The result is exactly lower_bound(key).cur.
+  Cursor lower_bound_from(Cursor hint, std::uint64_t key) const;
+
   /// Pair at rank `rank` (0-based, in key order). Requires rank < size().
   Cursor select(std::size_t rank) const;
 

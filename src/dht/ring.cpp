@@ -62,6 +62,7 @@ void RingDirectory::flush_bulk() const {
   }
   staged_.clear();
   staged_set_.clear();
+  ++version_;
 }
 
 // --- membership ------------------------------------------------------------
@@ -77,6 +78,7 @@ bool RingDirectory::insert(std::uint64_t id, NodeIndex node) {
   }
   if (!tree_.insert(id, node)) return false;
   ids_dirty_ = true;
+  ++version_;
   return true;
 }
 
@@ -84,6 +86,7 @@ bool RingDirectory::erase(std::uint64_t id) {
   flush_bulk();
   if (!tree_.erase(id)) return false;
   ids_dirty_ = true;
+  ++version_;
   return true;
 }
 
@@ -204,11 +207,14 @@ std::vector<std::uint64_t> RingDirectory::predecessors_of(
 
 template <typename Fn>
 void RingDirectory::walk_successors(std::uint64_t key, std::size_t k,
-                                    Fn&& fn) const {
+                                    SearchHint& hint, Fn&& fn) const {
   flush_bulk();
   if (tree_.empty()) return;
   k = std::min(k, tree_.size());
-  CountedBTree::Cursor c = tree_.lower_bound(key).cur;
+  CountedBTree::Cursor c = hint.dir == this && hint.version == version_
+                               ? tree_.lower_bound_from(hint.cur, key)
+                               : tree_.lower_bound(key).cur;
+  hint = SearchHint{this, version_, c};
   if (CountedBTree::valid(c) && CountedBTree::key(c) == key)
     c = CountedBTree::next(c);  // exclude key itself
   for (std::size_t i = 0; i < k; ++i) {
@@ -239,7 +245,8 @@ void RingDirectory::successors_of(std::uint64_t key, std::size_t k,
                                   std::vector<std::uint64_t>& out) const {
   out.clear();
   out.reserve(std::min(k, size()));
-  walk_successors(key, k,
+  SearchHint fresh;
+  walk_successors(key, k, fresh,
                   [&](std::uint64_t id, NodeIndex) { out.push_back(id); });
 }
 
@@ -253,9 +260,16 @@ void RingDirectory::predecessors_of(std::uint64_t key, std::size_t k,
 
 void RingDirectory::successors_of(std::uint64_t key, std::size_t k,
                                   std::vector<IdOwner>& out) const {
+  SearchHint fresh;
+  successors_of(key, k, out, fresh);
+}
+
+void RingDirectory::successors_of(std::uint64_t key, std::size_t k,
+                                  std::vector<IdOwner>& out,
+                                  SearchHint& hint) const {
   out.clear();
   out.reserve(std::min(k, size()));
-  walk_successors(key, k, [&](std::uint64_t id, NodeIndex owner) {
+  walk_successors(key, k, hint, [&](std::uint64_t id, NodeIndex owner) {
     out.emplace_back(id, owner);
   });
 }

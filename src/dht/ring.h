@@ -123,6 +123,23 @@ class RingDirectory {
   void predecessors_of(std::uint64_t key, std::size_t k,
                        std::vector<IdOwner>& out) const;
 
+  /// Caller-owned resume point for a run of window searches with
+  /// ascending keys, such as one node's finger starts id + 2^m. Each
+  /// hinted search leaves in it where its key landed; the next one starts
+  /// there instead of at the root (CountedBTree::lower_bound_from). A
+  /// default hint, one from another directory, or one from before a
+  /// mutation is ignored.
+  struct SearchHint {
+    const RingDirectory* dir = nullptr;
+    std::uint64_t version = 0;
+    CountedBTree::Cursor cur;
+  };
+
+  /// The successor pair window, resumed from `hint`: identical results
+  /// for any key order, cheaper when keys ascend until they wrap.
+  void successors_of(std::uint64_t key, std::size_t k,
+                     std::vector<IdOwner>& out, SearchHint& hint) const;
+
   /// Number of occupied positions separating two occupied ids, walking the
   /// shorter way around the sorted ring. Both ids must be occupied.
   std::size_t position_distance(std::uint64_t a, std::uint64_t b) const;
@@ -156,11 +173,14 @@ class RingDirectory {
   const std::vector<std::uint64_t>& ids() const;
 
  private:
-  /// The window walks behind both forms of successors_of / predecessors_of:
+  /// The window walks behind every form of successors_of / predecessors_of:
   /// visit (id, owner) for up to k occupied ids clockwise after (resp.
-  /// before) `key`, wrapping, never visiting `key` itself.
+  /// before) `key`, wrapping, never visiting `key` itself. The successor
+  /// walk starts from `hint` (the unhinted forms pass a default one, which
+  /// starts at the root).
   template <typename Fn>
-  void walk_successors(std::uint64_t key, std::size_t k, Fn&& fn) const;
+  void walk_successors(std::uint64_t key, std::size_t k, SearchHint& hint,
+                       Fn&& fn) const;
   template <typename Fn>
   void walk_predecessors(std::uint64_t key, std::size_t k, Fn&& fn) const;
 
@@ -178,6 +198,10 @@ class RingDirectory {
   mutable std::unordered_set<std::uint64_t> staged_set_;
   mutable std::vector<std::uint64_t> ids_cache_;
   mutable bool ids_dirty_ = true;
+  /// Bumped by every change to the tree (insert, erase, a flush that
+  /// merges staged inserts), so a SearchHint's cursor is only followed
+  /// into the tree it came from.
+  mutable std::uint64_t version_ = 0;
 };
 
 }  // namespace ert::dht

@@ -11,6 +11,7 @@
 // caller-owned scratch so the periodic adaptation sweep allocates nothing.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -87,7 +88,17 @@ using FingerPool = dht::Slab<BackwardFinger>;
 
 class BackwardFingerList {
  public:
+  /// Adds a finger unless one from the same node is present; returns true
+  /// when added.
   bool add(FingerPool& pool, BackwardFinger f);
+
+  /// Appends without the duplicate scan. For link paths that have already
+  /// rejected an existing (from, to) pair under the one-role-per-ordered-
+  /// pair rule: add() would scan the same cold list a second time.
+  void append(FingerPool& pool, BackwardFinger f) {
+    assert(!contains(pool, f.node));
+    pool.push(ref_, f);
+  }
   bool remove(FingerPool& pool, dht::NodeIndex n);
   bool contains(const FingerPool& pool, dht::NodeIndex n) const;
 

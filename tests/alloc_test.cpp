@@ -57,6 +57,12 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
+/// Every replacement operator delete releases through here. Kept out of
+/// line: inlined into a caller, GCC would pair the std::free with that
+/// caller's ::operator new and report a mismatch, although every block
+/// here comes from std::malloc or posix_memalign.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -79,21 +85,23 @@ void* operator new[](std::size_t size, std::align_val_t al) {
   return ::operator new(size, al);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace ert::harness {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace ert::chord {
 namespace {
 
@@ -234,6 +237,173 @@ TEST(Chord, FingerThresholdMatchesEligible) {
              o.node(i).table.entry(slot).candidates(o.arena().cands))
           ASSERT_TRUE(o.eligible(i, slot, c));
     o.check_invariants();
+  }
+}
+
+// Reference construction on the public link(), which tests the one-role
+// rule on the target's inlink list and the window rule with eligible():
+// the same windows, order and forced fallback as build_table,
+// repair_entry and expand_indegree.
+void reference_fill_finger(Overlay& o, const ChordOptions& opts, NodeIndex i,
+                           std::size_t m) {
+  const std::uint64_t start =
+      (o.node(i).id + (std::uint64_t{1} << m)) & (o.ring_size() - 1);
+  std::vector<dht::IdOwner> window;
+  o.directory().successors_of(start == 0 ? o.ring_size() - 1 : start - 1,
+                              opts.finger_spread, window);
+  for (const auto& [id, cand] : window)
+    if (o.link(i, m, cand, opts.enforce_indegree_bounds)) return;
+  if (!window.empty()) o.link(i, m, window.front().second, false);
+}
+
+void reference_fill_successors(Overlay& o, const ChordOptions& opts,
+                               NodeIndex i) {
+  std::vector<dht::IdOwner> window;
+  o.directory().successors_of(o.node(i).id, opts.successor_list, window);
+  for (const auto& [id, cand] : window)
+    o.link(i, o.successor_entry(), cand, false);
+}
+
+void reference_build(Overlay& o, const ChordOptions& opts, NodeIndex i) {
+  reference_fill_successors(o, opts, i);
+  for (int m = 0; m < opts.bits; ++m)
+    reference_fill_finger(o, opts, i, static_cast<std::size_t>(m));
+  o.mutable_node(i).table_built = true;
+}
+
+void reference_repair(Overlay& o, const ChordOptions& opts, NodeIndex i,
+                      std::size_t slot) {
+  for (const dht::NodeIndex32 c :
+       o.node(i).table.entry(slot).candidates(o.arena().cands))
+    if (o.node(c).alive) return;
+  if (o.directory().size() < 2) return;
+  if (slot == o.successor_entry())
+    reference_fill_successors(o, opts, i);
+  else
+    reference_fill_finger(o, opts, i, slot);
+}
+
+int reference_expand(Overlay& o, NodeIndex i, int want, std::size_t probes) {
+  if (want <= 0) return 0;
+  int gained = 0;
+  for (const auto& [host, slot] : o.expansion_targets(i, probes)) {
+    if (gained >= want || !o.node(i).budget.can_accept()) break;
+    if (o.link(host, slot, i, /*respect_budget=*/true)) ++gained;
+  }
+  return gained;
+}
+
+/// Tables, inlinks (with both distances) and budgets, node by node.
+void expect_same_overlay(const Overlay& a, const Overlay& b) {
+  ASSERT_EQ(a.num_slots(), b.num_slots());
+  for (NodeIndex i = 0; i < a.num_slots(); ++i) {
+    const ChordNode& x = a.node(i);
+    const ChordNode& y = b.node(i);
+    ASSERT_EQ(x.alive, y.alive) << "node " << i;
+    ASSERT_EQ(x.table_built, y.table_built) << "node " << i;
+    for (std::size_t slot = 0; slot < x.table.num_entries(); ++slot) {
+      const auto cx = x.table.entry(slot).candidates(a.arena().cands);
+      const auto cy = y.table.entry(slot).candidates(b.arena().cands);
+      ASSERT_TRUE(std::equal(cx.begin(), cx.end(), cy.begin(), cy.end()))
+          << "node " << i << " slot " << slot;
+    }
+    const auto fx = x.inlinks.fingers(a.arena().fingers);
+    const auto fy = y.inlinks.fingers(b.arena().fingers);
+    ASSERT_EQ(fx.size(), fy.size()) << "node " << i;
+    for (std::size_t k = 0; k < fx.size(); ++k) {
+      ASSERT_EQ(fx[k].node, fy[k].node) << "node " << i;
+      ASSERT_EQ(fx[k].logical_distance, fy[k].logical_distance);
+      ASSERT_EQ(fx[k].physical_distance, fy[k].physical_distance);
+    }
+    ASSERT_EQ(x.budget.indegree(), y.budget.indegree()) << "node " << i;
+    ASSERT_EQ(x.budget.max_indegree(), y.budget.max_indegree());
+    ASSERT_EQ(x.budget.forced_accepts(), y.budget.forced_accepts())
+        << "node " << i;
+  }
+}
+
+// build_table and repair_entry test "one role per ordered pair" against a
+// stamp of the builder's own targets and resume their window searches from
+// a hint; every link path appends backward fingers unchecked. On small
+// rings where windows wrap, with and without indegree bounds, they must
+// leave exactly the overlay that the same steps through link() leave:
+// after the build and an expansion sweep, then after failures, purges and
+// a repair of every surviving slot.
+TEST(Chord, BuildAndRepairMatchLink) {
+  Rng rng(20261019);
+  const Overlay::PhysDistFn phys = [](NodeIndex a, NodeIndex b) {
+    return static_cast<double>((a * 2654435761u + b * 40503u) % 1000) / 8.0;
+  };
+  for (int trial = 0; trial < 90; ++trial) {
+    ChordOptions opts;
+    opts.bits = 3 + static_cast<int>(rng.index(7));  // 3..9
+    opts.finger_spread = 1 + rng.index(4);
+    opts.successor_list = 1 + rng.index(4);
+    opts.enforce_indegree_bounds = trial % 2 == 0;
+    Overlay a(opts, phys);
+    Overlay b(opts, phys);
+    const std::size_t n = std::min<std::size_t>(
+        2 + rng.index(299), static_cast<std::size_t>(a.ring_size()));
+    const std::uint64_t seed = rng.bits();
+    Rng ra(seed), rb(seed), rdeg(seed);
+    if (trial % 4 < 2) a.begin_bulk_insert(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const int dinf = 2 + static_cast<int>(rdeg.index(12));
+      a.add_node_random(ra, 1.0, dinf, 0.8);
+      b.add_node_random(rb, 1.0, dinf, 0.8);
+    }
+    if (trial % 4 < 2) a.end_bulk_insert();
+    const auto expand_all = [&] {
+      for (NodeIndex i = 0; i < n; ++i) {
+        const int want = static_cast<int>(rng.index(6));
+        const std::size_t probes = 1 + rng.index(64);
+        ASSERT_EQ(a.expand_indegree(i, want, probes),
+                  reference_expand(b, i, want, probes));
+      }
+    };
+    // Every third ring expands before it builds, so builders start with
+    // links and stamp_targets() has a table to read.
+    if (trial % 3 == 2) {
+      ASSERT_NO_FATAL_FAILURE(expand_all()) << "trial " << trial;
+      ASSERT_NO_FATAL_FAILURE(expect_same_overlay(a, b)) << "trial " << trial;
+    }
+    for (NodeIndex i = 0; i < n; ++i) {
+      a.build_table(i);
+      reference_build(b, opts, i);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_overlay(a, b)) << "trial " << trial;
+    ASSERT_NO_FATAL_FAILURE(expand_all()) << "trial " << trial;
+    ASSERT_NO_FATAL_FAILURE(expect_same_overlay(a, b)) << "trial " << trial;
+
+    for (NodeIndex i = 0; i < n; ++i)
+      if (rng.bernoulli(0.3)) {
+        a.fail(i);
+        b.fail(i);
+      }
+    for (NodeIndex i = 0; i < n; ++i) {
+      if (!a.node(i).alive) continue;
+      std::vector<NodeIndex> dead;
+      for (const auto& entry : a.node(i).table.entries())
+        for (const dht::NodeIndex32 c : entry.candidates(a.arena().cands))
+          if (!a.node(c).alive) dead.push_back(c);
+      for (const auto& f : a.node(i).inlinks.fingers(a.arena().fingers))
+        if (!a.node(f.node).alive) dead.push_back(f.node);
+      for (const NodeIndex d : dead) {
+        a.purge_dead(i, d);
+        b.purge_dead(i, d);
+      }
+    }
+    for (NodeIndex i = 0; i < n; ++i) {
+      if (!a.node(i).alive) continue;
+      for (std::size_t slot = 0; slot < a.node(i).table.num_entries();
+           ++slot) {
+        a.repair_entry(i, slot);
+        reference_repair(b, opts, i, slot);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_overlay(a, b)) << "trial " << trial;
+    a.check_invariants();
+    b.check_invariants();
   }
 }
 

@@ -213,5 +213,78 @@ TEST(CountedBTree, LowerBoundEdgeCases) {
   ASSERT_EQ(beyond.rank, tree.size());
 }
 
+// lower_bound_from against lower_bound on ascending key runs. Strides are
+// set against one leaf's key span, so a run stays in the hint's leaf,
+// steps into the next, or jumps many leaves (the descent fallback); every
+// run ends past the largest key, at the end cursor. Sizes run from a
+// single-leaf root to three interior levels. Random inserts and erases
+// come between runs, and each run starts from the end cursor (no hint):
+// a hint never outlives a mutation.
+TEST(CountedBTree, LowerBoundFromMatchesFreshSearch) {
+  const std::uint64_t modulus = 1u << 20;
+  Rng rng(20261019);
+  std::size_t same_leaf = 0, next_leaf = 0, other_leaf = 0, at_end = 0;
+  for (const std::size_t n : {1u, 5u, 64u, 65u, 300u, 5000u, 70000u}) {
+    std::vector<Pair> pairs = random_pairs(n, modulus, rng);
+    CountedBTree tree;
+    for (const auto& [k, v] : pairs) tree.insert(k, v);
+    for (int round = 0; round < 16; ++round) {
+      const std::uint64_t leaf_span = std::max<std::uint64_t>(
+          1, modulus / std::max<std::size_t>(tree.size(), 1) *
+                 CountedBTree::kLeafCap);
+      const std::uint64_t strides[] = {leaf_span / 16, leaf_span / 2,
+                                       2 * leaf_span, 30 * leaf_span};
+      const std::uint64_t stride =
+          std::max<std::uint64_t>(1, strides[rng.index(4)]);
+      CountedBTree::Cursor hint;
+      for (std::uint64_t key = rng.index(leaf_span);;) {
+        const CountedBTree::Cursor fresh = tree.lower_bound(key).cur;
+        const CountedBTree::Cursor got = tree.lower_bound_from(hint, key);
+        ASSERT_EQ(got.leaf, fresh.leaf) << "n " << n << " key " << key;
+        ASSERT_EQ(got.idx, fresh.idx) << "n " << n << " key " << key;
+        if (!CountedBTree::valid(got))
+          ++at_end;
+        else if (got.leaf == hint.leaf)
+          ++same_leaf;
+        else if (hint.leaf && got.leaf == hint.leaf->next)
+          ++next_leaf;
+        else
+          ++other_leaf;
+        hint = got;
+        if (key >= modulus) break;
+        // Sometimes land exactly on an occupied key, sometimes repeat one.
+        if (CountedBTree::valid(got) && rng.bernoulli(0.2))
+          key = CountedBTree::key(got);
+        else if (!rng.bernoulli(0.1))
+          key += 1 + rng.index(2 * stride);
+      }
+      // A key below the hint's leaf (a wrapped run) falls back.
+      const std::uint64_t low = rng.index(modulus);
+      ASSERT_EQ(tree.lower_bound_from(hint, low).leaf,
+                tree.lower_bound(low).cur.leaf);
+      ASSERT_EQ(tree.lower_bound_from(hint, low).idx,
+                tree.lower_bound(low).cur.idx);
+
+      for (int op = 0; op < 40; ++op) {
+        const std::uint64_t key = rng.index(modulus);
+        if (!pairs.empty() && rng.bernoulli(0.5)) {
+          const std::size_t at = rng.index(pairs.size());
+          ASSERT_TRUE(tree.erase(pairs[at].first));
+          pairs[at] = pairs.back();
+          pairs.pop_back();
+        } else if (tree.insert(key, static_cast<NodeIndex>(op))) {
+          pairs.emplace_back(key, static_cast<NodeIndex>(op));
+        }
+      }
+      ASSERT_TRUE(tree.check_structure());
+    }
+  }
+  // Each path of the resumed search ran.
+  EXPECT_GT(same_leaf, 0u);
+  EXPECT_GT(next_leaf, 0u);
+  EXPECT_GT(other_leaf, 0u);
+  EXPECT_GT(at_end, 0u);
+}
+
 }  // namespace
 }  // namespace ert::dht

@@ -458,5 +458,82 @@ TEST(RingFuzz, StepTowardAlwaysReducesPositionDistance) {
   }
 }
 
+// Hinted successor windows against fresh ones, on the key runs Chord's
+// build issues: one node's finger starts id + 2^m - 1, ascending with m
+// until they wrap. The directory grows from empty to ~3000 ids (a
+// two-level tree) under random inserts and erases, every other round
+// staged in bulk mode so the first search of a run flushes the batch. A
+// hint lives for one run, except in the last check of each round, which
+// reuses one across a mutation: the directory must ignore it there, not
+// follow it into a changed tree.
+TEST(RingFuzz, HintedWindowsMatchFresh) {
+  const int bits = 16;
+  const std::uint64_t modulus = std::uint64_t{1} << bits;
+  RingDirectory dir(modulus);
+  Reference ref(modulus);
+  Rng rng(20261019);
+  NodeIndex next_node = 0;
+  std::vector<IdOwner> hinted, fresh;
+
+  const auto check = [&](std::uint64_t key, std::size_t k,
+                         RingDirectory::SearchHint& hint) {
+    dir.successors_of(key, k, hinted, hint);
+    dir.successors_of(key, k, fresh);
+    ASSERT_EQ(hinted, fresh) << "successors of " << key << " k " << k;
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, owner] : hinted) {
+      ids.push_back(id);
+      ASSERT_EQ(ref.owner_of(id), std::optional<NodeIndex>(owner));
+    }
+    ASSERT_EQ(ids, ref.successors_of(key, k));
+  };
+
+  for (int round = 0; round < 60; ++round) {
+    const bool bulk = round % 2 == 1;
+    if (bulk) dir.begin_bulk();
+    const int ops = 1 + static_cast<int>(rng.index(round < 30 ? 200 : 60));
+    for (int op = 0; op < ops; ++op) {
+      if (!bulk && ref.size() > 0 && rng.bernoulli(0.3)) {
+        const std::uint64_t victim = ref.any_id(rng);
+        ASSERT_EQ(dir.erase(victim), ref.erase(victim));
+      } else {
+        const std::uint64_t id = rng.bits() % modulus;
+        ASSERT_EQ(dir.insert(id, next_node), ref.insert(id, next_node));
+        ++next_node;
+      }
+    }
+    for (int q = 0; q < 8; ++q) {
+      const std::uint64_t id = ref.size() > 0 && rng.bernoulli(0.5)
+                                   ? ref.any_id(rng)
+                                   : rng.bits() % modulus;
+      const std::size_t k = 1 + rng.index(6);
+      RingDirectory::SearchHint hint;
+      for (int m = 0; m < bits; ++m)
+        check((id + (std::uint64_t{1} << m) - 1) % modulus, k, hint);
+    }
+    if (bulk) dir.end_bulk();
+    // A hint taken before a mutation is ignored after it: one erase, or a
+    // staged batch whose flush rebuilds the tree and frees every leaf the
+    // hint could point into (a sanitizer build reports a followed hint).
+    RingDirectory::SearchHint stale;
+    const std::uint64_t key = rng.bits() % modulus;
+    check(key, 3, stale);
+    if (ref.size() > 0 && rng.bernoulli(0.5)) {
+      const std::uint64_t victim = ref.any_id(rng);
+      ASSERT_EQ(dir.erase(victim), ref.erase(victim));
+    } else {
+      dir.begin_bulk();
+      for (int j = 0; j < 3; ++j) {
+        const std::uint64_t id = rng.bits() % modulus;
+        ASSERT_EQ(dir.insert(id, next_node), ref.insert(id, next_node));
+        ++next_node;
+      }
+      dir.end_bulk();
+    }
+    check((key + 1) % modulus, 3, stale);
+  }
+  ASSERT_GT(ref.size(), 2000u);
+}
+
 }  // namespace
 }  // namespace ert::dht
